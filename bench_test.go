@@ -17,10 +17,10 @@ import (
 
 	"lambmesh/internal/analysis"
 	"lambmesh/internal/bitmat"
-	"lambmesh/internal/blockfault"
 	"lambmesh/internal/campaign"
 	"lambmesh/internal/classtable"
 	"lambmesh/internal/core"
+	"lambmesh/internal/faultring"
 	"lambmesh/internal/hardness"
 	"lambmesh/internal/mesh"
 	"lambmesh/internal/partition"
@@ -91,7 +91,7 @@ func benchLambTrial(b *testing.B, widths []int, faults, k int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sim.RunLambTrialSolverWorkers(m, faults, k, benchWorkers(), rng, s)
+		sim.RunLambTrial(m, faults, k, benchWorkers(), rng, s)
 	}
 }
 
@@ -227,18 +227,19 @@ func BenchmarkAblVcoverLamb2Exact(b *testing.B) {
 	}
 }
 
-// Baseline: rectangularization plus 30 ring routes on M_2(32), 3% faults.
-func BenchmarkBlockfaultBaseline(b *testing.B) {
+// Baseline: fault-ring rectangularization plus 30 ring routes on M_2(32),
+// 3% faults.
+func BenchmarkFaultringBaseline(b *testing.B) {
 	m := mesh.MustNew(32, 32)
 	rng := rand.New(rand.NewSource(3))
 	f := mesh.RandomNodeFaults(m, 31, rng)
-	mod, err := blockfault.Build(f)
+	mod, err := faultring.Build(f)
 	if err != nil {
 		b.Fatal(err)
 	}
 	var active []mesh.Coord
 	m.ForEachNode(func(c mesh.Coord) {
-		if !mod.Blocked(c) {
+		if mod.Active(c) {
 			active = append(active, c.Clone())
 		}
 	})
@@ -248,7 +249,9 @@ func BenchmarkBlockfaultBaseline(b *testing.B) {
 		for pair := 0; pair < 30; pair++ {
 			src := active[rng.Intn(len(active))]
 			dst := active[rng.Intn(len(active))]
-			_, _ = mod.RouteXY(src, dst)
+			if _, _, err := mod.Route(src, dst); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

@@ -16,12 +16,14 @@ import (
 // it over httptest, so the client subcommands run against the real wire.
 func startDaemon(t *testing.T, meshSpec string, loadPath string) (*server.Server, string) {
 	t.Helper()
-	return startDaemonSource(t, meshSpec, loadPath, "")
+	return startDaemonK(t, meshSpec, loadPath, 2)
 }
 
-func startDaemonSource(t *testing.T, meshSpec, loadPath, routeSource string) (*server.Server, string) {
+// startDaemonK is startDaemon routing in k rounds; k = 3 is outside the
+// class table's envelope, so the daemon serves from the per-pair cache.
+func startDaemonK(t *testing.T, meshSpec, loadPath string, k int) (*server.Server, string) {
 	t.Helper()
-	s, err := newServerFromFlags(meshSpec, 2, false, loadPath, 0, routeSource)
+	s, err := newServerFromFlags(meshSpec, k, false, loadPath, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +59,7 @@ func TestRouteSubcommand(t *testing.T) {
 }
 
 func TestRouteSubcommandCachePlane(t *testing.T) {
-	_, url := startDaemonSource(t, "8x8", "", server.RouteSourceCache)
+	_, url := startDaemonK(t, "8x8", "", 3)
 	runCmd(t, "route", "-addr", url, "-src", "0,0", "-dst", "7,7")
 	out, _, code := runCmd(t, "route", "-addr", url, "-src", "0,0", "-dst", "7,7", "-json")
 	if code != 0 || !strings.Contains(out, `"cached":true`) {

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"lambmesh/internal/stats"
 )
 
 // testSpec is a small but non-trivial campaign: 2 meshes x 2 models x 2
@@ -35,7 +37,7 @@ func strip(t *testing.T, r *Result) string {
 	c.TrialsRun = 0 // per-run metadata, not part of the campaign's result
 	c.Points = append([]PointResult(nil), r.Points...)
 	for i := range c.Points {
-		c.Points[i].Agg.Recovery = Welford{}
+		c.Points[i].Agg.Recovery = stats.Welford{}
 	}
 	raw, err := json.Marshal(&c)
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"lambmesh/internal/sim"
+	"lambmesh/internal/stats"
 )
 
 // MeshName formats a widths slice the way the campaign reports it ("8x8").
@@ -42,7 +43,7 @@ func (r *Result) Table(timing bool) *sim.Table {
 	}
 	for _, p := range r.Points {
 		a := &p.Agg
-		lo, hi := Wilson(a.Connected, a.Trials)
+		lo, hi := stats.Wilson(a.Connected, a.Trials)
 		pconn := 0.0
 		if a.Trials > 0 {
 			pconn = float64(a.Connected) / float64(a.Trials)

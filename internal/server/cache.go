@@ -63,8 +63,12 @@ func (c *routeCache) put(k pairKey, e *cacheEntry) {
 	s.mu.Unlock()
 }
 
-// len returns the number of cached pairs (test and metrics helper).
+// len returns the number of cached pairs (test and metrics helper); 0 for
+// the nil cache of a class-table epoch.
 func (c *routeCache) len() int {
+	if c == nil {
+		return 0
+	}
 	n := 0
 	for i := range c.shards {
 		s := &c.shards[i]

@@ -7,92 +7,73 @@ import (
 	"strings"
 	"testing"
 
+	"lambmesh/internal/classtable"
 	"lambmesh/internal/mesh"
 	"lambmesh/internal/routing"
 	"lambmesh/internal/wire"
 )
 
-// TestRouteSourceResolution pins the auto/flag contract.
+// TestRouteSourceResolution pins plane selection: the class table exactly
+// when classtable.Supported accepts the configuration, the per-pair cache
+// otherwise, and a cache only on epochs without a table.
 func TestRouteSourceResolution(t *testing.T) {
-	m := mesh.MustNew(6, 6)
-	orders := routing.UniformAscending(2, 2)
 	s := newTestServer(t, 6, 6)
-	if s.RouteSource() != RouteSourceClassTable {
-		t.Errorf("auto on a 2D mesh resolved to %q", s.RouteSource())
+	if s.RouteSource() != "classtable" {
+		t.Errorf("k=2 mesh resolved to %q", s.RouteSource())
 	}
-	if s.Epoch().Table == nil {
-		t.Error("classtable server has no table on the live epoch")
+	if e := s.Epoch(); e.Table == nil || e.cache != nil {
+		t.Errorf("classtable epoch: table %v, cache %v", e.Table, e.cache)
 	}
-	s2 := newSourceServer(t, RouteSourceCache, 6, 6)
-	if s2.RouteSource() != RouteSourceCache || s2.Epoch().Table != nil {
-		t.Errorf("cache server: source %q, table %v", s2.RouteSource(), s2.Epoch().Table)
+	// k=3 is outside the classtable envelope.
+	s3 := newKServer(t, 3, 6, 6)
+	if s3.RouteSource() != "cache" {
+		t.Errorf("k=3 resolved to %q", s3.RouteSource())
 	}
-	if _, err := New(Config{Mesh: m, Orders: orders, RouteSource: "bogus"}); err == nil {
-		t.Error("bogus route source accepted")
+	if e := s3.Epoch(); e.Table != nil || e.cache == nil {
+		t.Errorf("cache epoch: table %v, cache %v", e.Table, e.cache)
 	}
-	// k=3 is outside the classtable envelope: auto falls back, explicit errors.
-	o3 := routing.UniformAscending(2, 3)
-	s3, err := New(Config{Mesh: m, Orders: o3})
+}
+
+// TestDataPlanesAgree checks the class table against the oracle route
+// (Epoch.route) on the same epoch, for every (src, dst) pair: answers and
+// reasons must be byte-identical.
+func TestDataPlanesAgree(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	faults := mesh.RandomNodeFaults(mesh.MustNew(9, 9), 6, rng)
+	mesh.RandomLinkFaults(faults, 3, rng)
+	orders := routing.UniformAscending(2, 2)
+	s, err := New(Config{Mesh: mesh.MustNew(9, 9), Orders: orders, InitialFaults: faults, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s3.Close()
-	if s3.RouteSource() != RouteSourceCache {
-		t.Errorf("auto with k=3 resolved to %q", s3.RouteSource())
+	t.Cleanup(s.Close)
+	e := s.Epoch()
+	if e.Table == nil {
+		t.Fatal("k=2 mesh epoch has no class table")
 	}
-	if _, err := New(Config{Mesh: m, Orders: o3, RouteSource: RouteSourceClassTable}); err == nil {
-		t.Error("forced classtable with k=3 accepted")
-	}
-}
-
-// TestDataPlanesAgree runs the same query stream against a classtable
-// server and a cache server with identical fault history and requires
-// byte-identical answers (modulo the Cached bit) — the A/B guarantee the
-// RouteSource flag exists to demonstrate.
-func TestDataPlanesAgree(t *testing.T) {
-	m := mesh.MustNew(9, 9)
-	rng := rand.New(rand.NewSource(5))
-	faults := mesh.RandomNodeFaults(m, 6, rng)
-	mesh.RandomLinkFaults(faults, 3, rng)
-
-	build := func(source string) *Server {
-		mm := mesh.MustNew(9, 9)
-		s, err := New(Config{
-			Mesh:          mm,
-			Orders:        routing.UniformAscending(2, 2),
-			InitialFaults: faults,
-			RouteSource:   source,
-			Workers:       1,
+	var q classtable.Scratch
+	m := e.Faults.Mesh()
+	m.ForEachNode(func(src mesh.Coord) {
+		m.ForEachNode(func(dst mesh.Coord) {
+			tr, treason := e.tableRoute(orders, src, dst, &q)
+			or, oreason := e.route(orders, src, dst)
+			if treason != oreason {
+				t.Fatalf("%v->%v: reasons differ: table %q, oracle %q", src, dst, treason, oreason)
+			}
+			if !reflect.DeepEqual(tr, or) {
+				t.Fatalf("%v->%v: routes differ:\ntable  %+v\noracle %+v", src, dst, tr, or)
+			}
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(s.Close)
-		return s
-	}
-	ct, cc := build(RouteSourceClassTable), build(RouteSourceCache)
-
-	qrng := rand.New(rand.NewSource(17))
-	for i := 0; i < 4000; i++ {
-		src := mesh.C(qrng.Intn(9), qrng.Intn(9))
-		dst := mesh.C(qrng.Intn(9), qrng.Intn(9))
-		a, b := ct.Route(src, dst), cc.Route(src, dst)
-		b.Cached = a.Cached
-		if a.Found != b.Found || a.Reason != b.Reason || a.Generation != b.Generation {
-			t.Fatalf("%v->%v: answers differ:\nclasstable %+v\ncache      %+v", src, dst, a, b)
-		}
-		if a.Found && !reflect.DeepEqual(a.Route, b.Route) {
-			t.Fatalf("%v->%v: routes differ:\nclasstable %+v\ncache      %+v", src, dst, a.Route, b.Route)
-		}
-	}
+	})
 }
 
-// TestWireBackendCompact drives routeCompact through both data planes and
-// checks it against the full Route answers.
+// TestWireBackendCompact drives routeCompact through both data planes (the
+// class table at k=2, the cache at k=3) and checks it against the full
+// Route answers.
 func TestWireBackendCompact(t *testing.T) {
-	for _, source := range []string{RouteSourceClassTable, RouteSourceCache} {
-		t.Run(source, func(t *testing.T) {
-			s := newSourceServer(t, source, 8, 8)
+	for _, k := range []int{2, 3} {
+		s := newKServer(t, k, 8, 8)
+		t.Run(s.RouteSource(), func(t *testing.T) {
 			if err := s.ReportFaults([]mesh.Coord{mesh.C(3, 3), mesh.C(4, 5)}, nil); err != nil {
 				t.Fatal(err)
 			}

@@ -25,8 +25,9 @@ import (
 // Epoch is one immutable routing configuration. Everything reachable from
 // an Epoch is frozen at publish time: the fault set is a private clone,
 // the oracle indexes that clone, and the lamb set is never mutated. The
-// per-epoch route cache is the only mutable member, and it is internally
-// synchronized; it dies with the epoch, so a swap invalidates it wholesale.
+// per-epoch route cache, which only epochs without a class table build, is
+// the only mutable member, and it is internally synchronized; it dies with
+// the epoch, so a swap invalidates it wholesale.
 type Epoch struct {
 	Faults     *mesh.FaultSet // private snapshot; never mutated after publish
 	Oracle     *routing.Oracle
@@ -35,22 +36,22 @@ type Epoch struct {
 	Created    time.Time
 
 	// Table is the class-based O(1) data plane for this epoch's fault set,
-	// or nil when the server runs in "cache" mode (or the configuration is
-	// outside classtable's supported envelope). When non-nil it is the
-	// route source and the cache stays empty.
+	// or nil when the configuration is outside classtable's supported
+	// envelope (or the table build failed). When non-nil it is the route
+	// source and the epoch has no cache.
 	Table *classtable.Table
 
 	lambIdx map[int64]struct{}
-	cache   *routeCache
+	cache   *routeCache // nil when Table is set
 }
 
 // newEpoch freezes a configuration: it clones the fault set (the caller's
-// copy keeps evolving inside the Reconfigurer), indexes it, and attaches a
-// fresh empty route cache. With useTable, the class table is built from the
-// snapshot — that cost is paid here, at publish time, so the query path
-// never sees a cold table. prev (may be nil) is the outgoing epoch's table:
+// copy keeps evolving inside the Reconfigurer) and indexes it. With
+// useTable, the class table is built from the snapshot — that cost is paid
+// here, at publish time, so the query path never sees a cold table. prev (may be nil) is the outgoing epoch's table:
 // its filled via slots are carried over for every class pair the fault
 // delta left untouched, so the post-swap query burst finds a warm table.
+// An epoch left without a table gets a fresh empty route cache instead.
 func newEpoch(f *mesh.FaultSet, lambs []mesh.Coord, gen uint64, now time.Time, orders routing.MultiOrder, workers int, useTable bool, prev *classtable.Table) *Epoch {
 	snap := f.Clone()
 	e := &Epoch{
@@ -60,7 +61,6 @@ func newEpoch(f *mesh.FaultSet, lambs []mesh.Coord, gen uint64, now time.Time, o
 		Generation: gen,
 		Created:    now,
 		lambIdx:    make(map[int64]struct{}, len(lambs)),
-		cache:      newRouteCache(),
 	}
 	if useTable {
 		// Support was checked at server construction; an error here would
@@ -69,6 +69,9 @@ func newEpoch(f *mesh.FaultSet, lambs []mesh.Coord, gen uint64, now time.Time, o
 		if tab, err := classtable.NewFrom(snap, orders, workers, prev); err == nil {
 			e.Table = tab
 		}
+	}
+	if e.Table == nil {
+		e.cache = newRouteCache()
 	}
 	for _, c := range lambs {
 		e.lambIdx[snap.Mesh().Index(c)] = struct{}{}

@@ -178,7 +178,7 @@ func (s *Server) handleConfig(w http.ResponseWriter, r *http.Request) {
 		Mesh:            meshWire(m),
 		Torus:           m.Torus(),
 		Orders:          s.orders.String(),
-		RouteSource:     s.routeSource,
+		RouteSource:     s.RouteSource(),
 		Generation:      e.Generation,
 		EpochAgeSeconds: e.Age(time.Now()).Seconds(),
 		NodeFaults:      coordsWire(e.Faults.SortedNodeFaults()),
@@ -200,7 +200,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	s.metrics.WriteTo(w, e.Generation, e.Age(time.Now()), e.cache.len())
 	fmt.Fprintf(w, "# HELP lambd_route_source live route data plane\n# TYPE lambd_route_source gauge\n")
-	fmt.Fprintf(w, "lambd_route_source{source=%q} 1\n", s.routeSource)
+	fmt.Fprintf(w, "lambd_route_source{source=%q} 1\n", s.RouteSource())
 	if e.Table != nil {
 		st := e.Table.Stats()
 		fmt.Fprintf(w, "# HELP lambd_classtable_classes (SES, DES) classes in the live epoch's table\n# TYPE lambd_classtable_classes gauge\n")

@@ -42,8 +42,8 @@ func decode[T any](t *testing.T, resp *http.Response) T {
 }
 
 func TestHTTPRoute(t *testing.T) {
-	// Pinned to the cache plane: the final assertion is about Cached.
-	s := newSourceServer(t, RouteSourceCache, 8, 8)
+	// k=3 serves from the cache plane: the final assertion is about Cached.
+	s := newKServer(t, 3, 8, 8)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	resp := postJSON(t, ts.URL+"/v1/route", RouteRequest{Src: "(0,0)", Dst: "(7,7)"})
@@ -57,7 +57,7 @@ func TestHTTPRoute(t *testing.T) {
 	if len(rr.Path) != 15 || rr.Path[0] != "(0,0)" || rr.Path[14] != "(7,7)" {
 		t.Errorf("path: %v", rr.Path)
 	}
-	if len(rr.Vias) != 1 { // 2-round route has one handoff point
+	if len(rr.Vias) != 2 { // a 3-round route has two handoff points
 		t.Errorf("vias: %v", rr.Vias)
 	}
 	// Second hit is served from the cache and says so.

@@ -158,7 +158,7 @@ func TestConcurrentLoad(t *testing.T) {
 // TestCacheConcurrency hammers one epoch's cache from many goroutines to
 // exercise the sharded locking under -race.
 func TestCacheConcurrency(t *testing.T) {
-	s := newSourceServer(t, RouteSourceCache, 10, 10)
+	s := newKServer(t, 3, 10, 10)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

@@ -12,14 +12,6 @@ import (
 	"lambmesh/internal/routing"
 )
 
-// Route sources a Config may name. Auto resolves to the class table when
-// the configuration supports it and to the legacy cache otherwise.
-const (
-	RouteSourceAuto       = ""
-	RouteSourceClassTable = "classtable"
-	RouteSourceCache      = "cache"
-)
-
 // Config parameterizes a Server.
 type Config struct {
 	Mesh   *mesh.Mesh
@@ -35,13 +27,6 @@ type Config struct {
 	// directly shrinks the window during which queries are served from the
 	// stale (pre-fault) epoch. The lamb set is identical for any value.
 	Workers int
-	// RouteSource selects the query data plane: RouteSourceClassTable
-	// serves from the per-epoch compressed (SES, DES) class table,
-	// RouteSourceCache from the legacy per-pair sharded cache, and
-	// RouteSourceAuto (the default) picks the class table whenever the
-	// configuration supports it. Answers are byte-identical either way —
-	// the flag exists for A/B benchmarking and as an escape hatch.
-	RouteSource string
 }
 
 // Server is the route control plane. The live configuration is an *Epoch
@@ -54,11 +39,11 @@ type Config struct {
 //   - pending fault reports: guarded by mu; handlers append, the worker
 //     drains.
 type Server struct {
-	orders      routing.MultiOrder
-	mesh        *mesh.Mesh
-	metrics     Metrics
-	routeSource string // resolved: RouteSourceClassTable or RouteSourceCache
-	workers     int
+	orders   routing.MultiOrder
+	mesh     *mesh.Mesh
+	metrics  Metrics
+	useTable bool // classtable.Supported(mesh, orders); fixed for the server's life
+	workers  int
 
 	// scratch pools per-query classtable buffers so the table path stays
 	// allocation-free on the compact (wire) route.
@@ -95,31 +80,15 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	recon.Workers = cfg.Workers
-	source := cfg.RouteSource
-	switch source {
-	case RouteSourceAuto:
-		if classtable.Supported(cfg.Mesh, cfg.Orders) {
-			source = RouteSourceClassTable
-		} else {
-			source = RouteSourceCache
-		}
-	case RouteSourceClassTable:
-		if !classtable.Supported(cfg.Mesh, cfg.Orders) {
-			return nil, fmt.Errorf("server: route source %q: %w", source, classtable.ErrUnsupported)
-		}
-	case RouteSourceCache:
-	default:
-		return nil, fmt.Errorf("server: unknown route source %q", source)
-	}
 	s := &Server{
-		orders:      cfg.Orders,
-		mesh:        cfg.Mesh,
-		routeSource: source,
-		workers:     cfg.Workers,
-		recon:       recon,
-		kick:        make(chan struct{}, 1),
-		quit:        make(chan struct{}),
-		done:        make(chan struct{}),
+		orders:   cfg.Orders,
+		mesh:     cfg.Mesh,
+		useTable: classtable.Supported(cfg.Mesh, cfg.Orders),
+		workers:  cfg.Workers,
+		recon:    recon,
+		kick:     make(chan struct{}, 1),
+		quit:     make(chan struct{}),
+		done:     make(chan struct{}),
 	}
 	s.scratch.New = func() any { return new(classtable.Scratch) }
 	// Generation 0: the pristine mesh, no faults, no lambs.
@@ -142,11 +111,11 @@ func (s *Server) Close() {
 	<-s.done
 }
 
-// newEpoch freezes a configuration under the server's resolved route
-// source and worker budget, carrying the class table's warm slots over
+// newEpoch freezes a configuration under the server's data plane and
+// worker budget, carrying the class table's warm slots over
 // from prev (nil for the first epoch).
 func (s *Server) newEpoch(f *mesh.FaultSet, lambs []mesh.Coord, gen uint64, now time.Time, prev *classtable.Table) *Epoch {
-	return newEpoch(f, lambs, gen, now, s.orders, s.workers, s.routeSource == RouteSourceClassTable, prev)
+	return newEpoch(f, lambs, gen, now, s.orders, s.workers, s.useTable, prev)
 }
 
 // Epoch returns the live configuration. The result is immutable; callers
@@ -154,9 +123,15 @@ func (s *Server) newEpoch(f *mesh.FaultSet, lambs []mesh.Coord, gen uint64, now 
 // garbage once the last reader drops them).
 func (s *Server) Epoch() *Epoch { return s.epoch.Load() }
 
-// RouteSource returns the resolved data plane: RouteSourceClassTable or
-// RouteSourceCache.
-func (s *Server) RouteSource() string { return s.routeSource }
+// RouteSource reports the query data plane, chosen from the configuration
+// alone: "classtable" when classtable.Supported accepts it (meshes routed
+// in at most two rounds), "cache" (the per-pair route cache) otherwise.
+func (s *Server) RouteSource() string {
+	if s.useTable {
+		return "classtable"
+	}
+	return "cache"
+}
 
 // Metrics returns the server's counter set.
 func (s *Server) Metrics() *Metrics { return &s.metrics }

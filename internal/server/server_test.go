@@ -12,15 +12,16 @@ import (
 
 func newTestServer(t *testing.T, widths ...int) *Server {
 	t.Helper()
-	return newSourceServer(t, RouteSourceAuto, widths...)
+	return newKServer(t, 2, widths...)
 }
 
-// newSourceServer builds a server pinned to one route data plane; tests
-// that assert cache semantics pass RouteSourceCache explicitly.
-func newSourceServer(t *testing.T, source string, widths ...int) *Server {
+// newKServer builds a server routing in k rounds. k <= 2 serves from the
+// class table; tests that assert cache semantics pass k = 3, which is
+// outside the table's envelope and resolves to the per-pair cache.
+func newKServer(t *testing.T, k int, widths ...int) *Server {
 	t.Helper()
 	m := mesh.MustNew(widths...)
-	s, err := New(Config{Mesh: m, Orders: routing.UniformAscending(m.Dims(), 2), RouteSource: source})
+	s, err := New(Config{Mesh: m, Orders: routing.UniformAscending(m.Dims(), k)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +46,7 @@ func waitGeneration(t *testing.T, s *Server, gen uint64) *Epoch {
 }
 
 func TestGenerationZeroRoutes(t *testing.T) {
-	s := newSourceServer(t, RouteSourceCache, 8, 8)
+	s := newKServer(t, 3, 8, 8)
 	ans := s.Route(mesh.C(0, 0), mesh.C(7, 7))
 	if !ans.Found || ans.Generation != 0 || ans.Cached {
 		t.Fatalf("pristine route: %+v", ans)

@@ -33,7 +33,7 @@ func metricValue(t *testing.T, page, name string) float64 {
 // incrementally, and /metrics reports the phase split and warm-hit ratio.
 func TestEpochSwapWarmStart(t *testing.T) {
 	s, ts := startHTTP(t, 8, 8)
-	if s.RouteSource() != RouteSourceClassTable {
+	if s.RouteSource() != "classtable" {
 		t.Skip("class table unsupported in this configuration")
 	}
 	if err := s.ReportFaults([]mesh.Coord{mesh.C(3, 3)}, nil); err != nil {

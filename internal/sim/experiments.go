@@ -5,13 +5,13 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"sync"
 
 	"lambmesh/internal/analysis"
 	"lambmesh/internal/core"
 	"lambmesh/internal/mesh"
 	"lambmesh/internal/reach"
 	"lambmesh/internal/routing"
+	"lambmesh/internal/stats"
 )
 
 // Experiment regenerates one table or figure of the paper.
@@ -190,10 +190,10 @@ func sweepExperiment(id string, weight int, widths []int, paper string) func(Con
 			t.AddRow(
 				fmt.Sprintf("%.1f", pct),
 				fmt.Sprint(faults),
-				F(ps.Lambs.Mean()),
-				F(ps.Lambs.Max()),
-				fmt.Sprintf("%.3f", 100*ps.Lambs.Mean()/float64(m.Nodes())),
-				fmt.Sprintf("%.1f", 100*ps.Lambs.Mean()/float64(faults)),
+				F(ps.Lambs.Mean),
+				fmt.Sprint(ps.MaxLambs),
+				fmt.Sprintf("%.3f", 100*ps.Lambs.Mean/float64(m.Nodes())),
+				fmt.Sprintf("%.1f", 100*ps.Lambs.Mean/float64(faults)),
 			)
 		}
 		return t
@@ -216,8 +216,8 @@ func runFig19(cfg Config) *Table {
 		p3 := RunLambPoint(c, m3, f3, 2)
 		t.AddRow(
 			fmt.Sprintf("%.1f", pct),
-			fmt.Sprintf("%.1f", 100*p2.Lambs.Mean()/float64(f2)),
-			fmt.Sprintf("%.2f", 100*p3.Lambs.Mean()/float64(f3)),
+			fmt.Sprintf("%.1f", 100*p2.Lambs.Mean/float64(f2)),
+			fmt.Sprintf("%.2f", 100*p3.Lambs.Mean/float64(f3)),
 		)
 	}
 	return t
@@ -247,7 +247,7 @@ func ratioExperiment(id string, weight int, meshes [][]int) func(Config) *Table 
 			for _, m := range ms {
 				faults := int(math.Round(ratio * float64(m.BisectionWidth())))
 				ps := RunLambPoint(c, m, faults, 2)
-				row = append(row, fmt.Sprintf("%.3f", 100*ps.Lambs.Mean()/float64(m.Nodes())))
+				row = append(row, fmt.Sprintf("%.3f", 100*ps.Lambs.Mean/float64(m.Nodes())))
 			}
 			t.AddRow(row...)
 		}
@@ -277,8 +277,8 @@ func sizeExperiment(id string, weight, d int, ns []int) func(Config) *Table {
 				fmt.Sprint(n),
 				fmt.Sprint(m.Nodes()),
 				fmt.Sprint(faults),
-				F(ps.Lambs.Mean()),
-				fmt.Sprintf("%.3f", 100*ps.Lambs.Mean()/float64(m.Nodes())),
+				F(ps.Lambs.Mean),
+				fmt.Sprintf("%.3f", 100*ps.Lambs.Mean/float64(m.Nodes())),
 			)
 		}
 		return t
@@ -300,8 +300,8 @@ func runFig25(cfg Config) *Table {
 		t.AddRow(
 			fmt.Sprintf("%.1f", pct),
 			fmt.Sprint(faults),
-			F(ps.SES.Mean()),
-			F(ps.SES.Max()),
+			F(ps.SES.Mean),
+			fmt.Sprint(ps.MaxSES),
 			fmt.Sprint(analysis.PartitionBound(m.Widths(), faults)),
 			fmt.Sprint(analysis.SimplePartitionBound(3, faults)),
 		)
@@ -326,8 +326,8 @@ func runFig26(cfg Config) *Table {
 		p2 := RunLambPoint(c, m2, f2, 2)
 		t.AddRow(
 			fmt.Sprintf("%.1f", pct),
-			fmt.Sprintf("%.4f", p3.Seconds.Mean()),
-			fmt.Sprintf("%.4f", p2.Seconds.Mean()),
+			fmt.Sprintf("%.4f", p3.Seconds.Mean),
+			fmt.Sprintf("%.4f", p2.Seconds.Mean),
 		)
 	}
 	return t
@@ -336,30 +336,34 @@ func runFig26(cfg Config) *Table {
 func runSec3One(cfg Config) *Table {
 	trials := cfg.trials()
 	m := mesh.MustNew(32, 32, 32)
-	var empirical, oneRoundLambs, lowerBounds Agg
-	var mu sync.Mutex
-	ForEachTrial(cfg, trials, func(_ int, rng *rand.Rand) {
+	type bounds struct {
+		empirical, lowerBound int64
+		oneRoundLambs         int
+	}
+	obs := Trials(cfg, trials, func(_ int, rng *rand.Rand, s *core.Solver) bounds {
 		fs := mesh.RandomNodeFaults(m, 32, rng)
 		lb := analysis.OneRoundEmpiricalLowerBound(fs)
-		res, err := core.Lamb1(fs, routing.UniformAscending(3, 1))
+		res, err := s.Lamb1(fs, routing.UniformAscending(3, 1))
 		if err != nil {
 			panic(err)
 		}
-		mu.Lock()
-		empirical.Add(float64(lb))
-		oneRoundLambs.Add(float64(res.NumLambs()))
-		lowerBounds.Add(float64(res.LowerBound()))
-		mu.Unlock()
+		return bounds{empirical: lb, lowerBound: res.LowerBound(), oneRoundLambs: res.NumLambs()}
 	})
+	var empirical, oneRoundLambs, lowerBounds stats.Welford
+	for _, o := range obs {
+		empirical.Add(float64(o.empirical))
+		oneRoundLambs.Add(float64(o.oneRoundLambs))
+		lowerBounds.Add(float64(o.lowerBound))
+	}
 	t := &Table{ID: "sec3one",
 		Title:   fmt.Sprintf("one round of routing at n=f=32 on M_3(32) (%d trials)", trials),
 		Paper:   "Theorem 3.1 bound 2698; simulated lower bound ~5750: a constant fraction of a cross-section dies",
 		Columns: []string{"quantity", "value"},
 	}
 	t.AddRow("Theorem 3.1 expected lower bound", F(analysis.OneRoundLowerBound(32, 32)))
-	t.AddRow("avg empirical lower bound (Thm 3.1 structure)", F(empirical.Mean()))
-	t.AddRow("avg WVC-derived lower bound", F(lowerBounds.Mean()))
-	t.AddRow("avg Lamb1 one-round lamb set (upper bound)", F(oneRoundLambs.Mean()))
+	t.AddRow("avg empirical lower bound (Thm 3.1 structure)", F(empirical.Mean))
+	t.AddRow("avg WVC-derived lower bound", F(lowerBounds.Mean))
+	t.AddRow("avg Lamb1 one-round lamb set (upper bound)", F(oneRoundLambs.Mean))
 	return t
 }
 
@@ -367,17 +371,16 @@ func runSec3Two(cfg Config) *Table {
 	// The paper uses 10000 trials; scale from the configured count.
 	trials := cfg.trials() * 10
 	m := mesh.MustNew(32, 32, 32)
+	obs := Trials(cfg, trials, func(_ int, rng *rand.Rand, s *core.Solver) LambObservation {
+		return RunLambTrial(m, 32, 2, 1, rng, s)
+	})
 	var needing, totalLambs int
-	var mu sync.Mutex
-	ForEachTrial(cfg, trials, func(_ int, rng *rand.Rand) {
-		obs := RunLambTrial(m, 32, 2, rng)
-		mu.Lock()
-		if obs.Lambs > 0 {
+	for _, o := range obs {
+		if o.Lambs > 0 {
 			needing++
 		}
-		totalLambs += obs.Lambs
-		mu.Unlock()
-	})
+		totalLambs += o.Lambs
+	}
 	t := &Table{ID: "sec3two",
 		Title:   fmt.Sprintf("two rounds at f=32 on M_3(32): how often are lambs needed? (%d trials)", trials),
 		Paper:   "5 of 10000 trials needed one lamb; the rest none",
@@ -458,7 +461,7 @@ func runAblRounds(cfg Config) *Table {
 		row := []string{m.String()}
 		for k := 1; k <= 3; k++ {
 			ps := RunLambPoint(c, m, faults, k)
-			row = append(row, F(ps.Lambs.Mean()))
+			row = append(row, F(ps.Lambs.Mean))
 		}
 		t.AddRow(row...)
 	}
@@ -478,33 +481,34 @@ func runAblVcover(cfg Config) *Table {
 	}
 	orders := routing.UniformAscending(2, 2)
 	for _, faults := range []int{4, 8, 12} {
-		var a1, a2, ex Agg
-		var mu sync.Mutex
-		ForEachTrial(Config{Seed: cfg.Seed, Workers: cfg.Workers}, trials, func(_ int, rng *rand.Rand) {
+		type counts struct{ lamb1, lamb2, exact int }
+		obs := Trials(Config{Seed: cfg.Seed, Workers: cfg.Workers}, trials, func(_ int, rng *rand.Rand, s *core.Solver) counts {
 			fs := mesh.RandomNodeFaults(m, faults, rng)
-			r1, err := core.Lamb1(fs, orders)
+			r1, err := s.Lamb1(fs, orders)
 			if err != nil {
 				panic(err)
 			}
-			r2, err := core.Lamb2(fs, orders, core.ApproxWVC)
+			r2, err := s.Lamb2(fs, orders, core.ApproxWVC)
 			if err != nil {
 				panic(err)
 			}
-			re, err := core.Lamb2(fs, orders, core.ExactWVC)
+			re, err := s.Lamb2(fs, orders, core.ExactWVC)
 			if err != nil {
 				panic(err)
 			}
-			mu.Lock()
-			a1.Add(float64(r1.NumLambs()))
-			a2.Add(float64(r2.NumLambs()))
-			ex.Add(float64(re.NumLambs()))
-			mu.Unlock()
+			return counts{r1.NumLambs(), r2.NumLambs(), re.NumLambs()}
 		})
-		ratio := "n/a"
-		if ex.Mean() > 0 {
-			ratio = fmt.Sprintf("%.3f", a1.Mean()/ex.Mean())
+		var a1, a2, ex stats.Welford
+		for _, o := range obs {
+			a1.Add(float64(o.lamb1))
+			a2.Add(float64(o.lamb2))
+			ex.Add(float64(o.exact))
 		}
-		t.AddRow(fmt.Sprint(faults), F(a1.Mean()), F(a2.Mean()), F(ex.Mean()), ratio)
+		ratio := "n/a"
+		if ex.Mean > 0 {
+			ratio = fmt.Sprintf("%.3f", a1.Mean/ex.Mean)
+		}
+		t.AddRow(fmt.Sprint(faults), F(a1.Mean), F(a2.Mean), F(ex.Mean), ratio)
 	}
 	return t
 }

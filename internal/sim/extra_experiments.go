@@ -4,14 +4,14 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 	"time"
 
-	"lambmesh/internal/blockfault"
 	"lambmesh/internal/core"
+	"lambmesh/internal/faultring"
 	"lambmesh/internal/hardness"
 	"lambmesh/internal/mesh"
 	"lambmesh/internal/routing"
+	"lambmesh/internal/stats"
 	"lambmesh/internal/wormhole"
 )
 
@@ -44,12 +44,11 @@ func runTorusCompare(cfg Config) *Table {
 	}
 	orders := routing.UniformAscending(2, 2)
 	for _, faults := range []int{4, 8, 14} {
-		var meshL, torusL Agg
-		var mu sync.Mutex
-		ForEachTrial(cfg, trials, func(_ int, rng *rand.Rand) {
+		type counts struct{ mesh, torus int }
+		obs := Trials(cfg, trials, func(_ int, rng *rand.Rand, s *core.Solver) counts {
 			mm := mesh.MustNew(12, 12)
 			fm := mesh.RandomNodeFaults(mm, faults, rng)
-			resM, err := core.Lamb1(fm, orders)
+			resM, err := s.Lamb1(fm, orders)
 			if err != nil {
 				panic(err)
 			}
@@ -65,12 +64,14 @@ func runTorusCompare(cfg Config) *Table {
 			if err != nil {
 				panic(err)
 			}
-			mu.Lock()
-			meshL.Add(float64(resM.NumLambs()))
-			torusL.Add(float64(resT.NumLambs()))
-			mu.Unlock()
+			return counts{resM.NumLambs(), resT.NumLambs()}
 		})
-		t.AddRow(fmt.Sprint(faults), F(meshL.Mean()), F(torusL.Mean()))
+		var meshL, torusL stats.Welford
+		for _, o := range obs {
+			meshL.Add(float64(o.mesh))
+			torusL.Add(float64(o.torus))
+		}
+		t.AddRow(fmt.Sprint(faults), F(meshL.Mean), F(torusL.Mean))
 	}
 	return t
 }
@@ -165,10 +166,11 @@ func runSptree(cfg Config) *Table {
 		Columns: []string{"faults", "matrix sec", "sweep sec", "same lamb count"},
 	}
 	for _, faults := range []int{40, 150, 400, 900} {
-		var tm, ts Agg
-		same := true
-		var mu sync.Mutex
-		ForEachTrial(cfg, trials, func(_ int, rng *rand.Rand) {
+		type timing struct {
+			matrix, sweep float64
+			same          bool
+		}
+		obs := Trials(cfg, trials, func(_ int, rng *rand.Rand, _ *core.Solver) timing {
 			fs := mesh.RandomNodeFaults(m, faults, rng)
 			t0 := time.Now()
 			a, err := core.Lamb1(fs, orders)
@@ -181,18 +183,18 @@ func runSptree(cfg Config) *Table {
 			if err != nil {
 				panic(err)
 			}
-			d1 := time.Since(t1).Seconds()
-			mu.Lock()
-			tm.Add(d0)
-			ts.Add(d1)
-			if a.NumLambs() != b.NumLambs() {
-				same = false
-			}
-			mu.Unlock()
+			return timing{d0, time.Since(t1).Seconds(), a.NumLambs() == b.NumLambs()}
 		})
+		var tm, ts stats.Welford
+		same := true
+		for _, o := range obs {
+			tm.Add(o.matrix)
+			ts.Add(o.sweep)
+			same = same && o.same
+		}
 		t.AddRow(fmt.Sprint(faults),
-			fmt.Sprintf("%.4f", tm.Mean()),
-			fmt.Sprintf("%.4f", ts.Mean()),
+			fmt.Sprintf("%.4f", tm.Mean),
+			fmt.Sprintf("%.4f", ts.Mean),
 			fmt.Sprint(same))
 	}
 	return t
@@ -214,28 +216,30 @@ func runLinkFaults(cfg Config) *Table {
 		total := int(math.Round(float64(m.Nodes()) * pct / 100))
 		nNodes := total / 2
 		nLinks := total - nNodes
-		var lambs Agg
-		verified := true
-		var mu sync.Mutex
-		ForEachTrial(cfg, trials, func(_ int, rng *rand.Rand) {
+		type check struct {
+			lambs    int
+			verified bool
+		}
+		obs := Trials(cfg, trials, func(_ int, rng *rand.Rand, s *core.Solver) check {
 			fs := mesh.RandomNodeFaults(m, nNodes, rng)
 			mesh.RandomLinkFaults(fs, nLinks, rng)
-			res, err := core.Lamb1(fs, orders)
+			res, err := s.Lamb1(fs, orders)
 			if err != nil {
 				panic(err)
 			}
-			ok := core.VerifyLambSet(fs, orders, res.Lambs) == nil
-			mu.Lock()
-			lambs.Add(float64(res.NumLambs()))
-			if !ok {
-				verified = false
-			}
-			mu.Unlock()
+			return check{res.NumLambs(), core.VerifyLambSet(fs, orders, res.Lambs) == nil}
 		})
+		var lambs stats.Welford
+		maxLambs, verified := 0, true
+		for _, o := range obs {
+			lambs.Add(float64(o.lambs))
+			maxLambs = max(maxLambs, o.lambs)
+			verified = verified && o.verified
+		}
 		t.AddRow(
 			fmt.Sprintf("%.1f", pct),
 			fmt.Sprint(nNodes), fmt.Sprint(nLinks),
-			F(lambs.Mean()), F(lambs.Max()),
+			F(lambs.Mean), fmt.Sprint(maxLambs),
 			fmt.Sprint(verified),
 		)
 	}
@@ -287,9 +291,10 @@ func runReconfig(cfg Config) *Table {
 }
 
 // runBlockfault answers the paper's open question empirically on M_2(32):
-// how many good nodes does the rectangular-fault-block scheme inactivate,
-// versus how many lambs our approach sacrifices — and what do ring detours
-// cost in turns versus the k*d-1 bound of dimension-ordered rounds.
+// how many good nodes does the Boppana–Chalasani fault-ring scheme
+// (internal/faultring) inactivate, versus how many lambs our approach
+// sacrifices — and what do ring detours cost in turns versus the k*d-1
+// bound of dimension-ordered rounds.
 func runBlockfault(cfg Config) *Table {
 	trials := scaledTrials(cfg, 2)
 	m := mesh.MustNew(32, 32)
@@ -301,51 +306,56 @@ func runBlockfault(cfg Config) *Table {
 	}
 	for _, pct := range []float64{0.5, 1.0, 2.0, 3.0} {
 		faults := int(math.Round(float64(m.Nodes()) * pct / 100))
-		var lambs, inact, turns Agg
-		var maxTurns int
-		var mu sync.Mutex
-		ForEachTrial(cfg, trials, func(_ int, rng *rand.Rand) {
+		type ringTrial struct {
+			lambs, inactivated int
+			turns              []int
+		}
+		obs := Trials(cfg, trials, func(_ int, rng *rand.Rand, s *core.Solver) ringTrial {
 			fs := mesh.RandomNodeFaults(m, faults, rng)
-			res, err := core.Lamb1(fs, orders)
+			res, err := s.Lamb1(fs, orders)
 			if err != nil {
 				panic(err)
 			}
-			mod, err := blockfault.Build(fs)
+			mod, err := faultring.Build(fs)
 			if err != nil {
 				panic(err)
 			}
 			var active []mesh.Coord
 			m.ForEachNode(func(c mesh.Coord) {
-				if !mod.Blocked(c) {
+				if mod.Active(c) {
 					active = append(active, c.Clone())
 				}
 			})
-			var localTurns []int
+			var turns []int
 			for pair := 0; pair < 30; pair++ {
 				src := active[rng.Intn(len(active))]
 				dst := active[rng.Intn(len(active))]
-				p, err := mod.RouteXY(src, dst)
+				p, ok, err := mod.Route(src, dst)
 				if err != nil {
-					continue // region touching an edge; skip the pair
+					panic(err) // both endpoints are active
 				}
-				localTurns = append(localTurns, routing.CountTurns(p))
-			}
-			mu.Lock()
-			lambs.Add(float64(res.NumLambs()))
-			inact.Add(float64(mod.Inactivated))
-			for _, tn := range localTurns {
-				turns.Add(float64(tn))
-				if tn > maxTurns {
-					maxTurns = tn
+				if !ok {
+					continue // a full-band region cuts the pair apart; unserved
 				}
+				turns = append(turns, routing.CountTurns(p))
 			}
-			mu.Unlock()
+			return ringTrial{res.NumLambs(), len(mod.Inactivated), turns}
 		})
+		var lambs, inact, turns stats.Welford
+		maxTurns := 0
+		for _, o := range obs {
+			lambs.Add(float64(o.lambs))
+			inact.Add(float64(o.inactivated))
+			for _, tn := range o.turns {
+				turns.Add(float64(tn))
+				maxTurns = max(maxTurns, tn)
+			}
+		}
 		t.AddRow(
 			fmt.Sprintf("%.1f", pct),
-			F(lambs.Mean()),
-			F(inact.Mean()),
-			F(turns.Mean()),
+			F(lambs.Mean),
+			F(inact.Mean),
+			F(turns.Mean),
 			fmt.Sprint(maxTurns),
 			"3",
 		)

@@ -1,44 +1,17 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"strings"
 	"sync"
 	"testing"
 
+	"lambmesh/internal/core"
 	"lambmesh/internal/mesh"
+	"lambmesh/internal/par"
 )
-
-func TestAgg(t *testing.T) {
-	var a Agg
-	if a.Mean() != 0 || a.Std() != 0 {
-		t.Error("empty Agg should be zero")
-	}
-	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		a.Add(x)
-	}
-	if a.Mean() != 5 {
-		t.Errorf("Mean = %v", a.Mean())
-	}
-	if a.Std() != 2 {
-		t.Errorf("Std = %v", a.Std())
-	}
-	if a.Max() != 9 || a.Min() != 2 {
-		t.Errorf("Max/Min = %v/%v", a.Max(), a.Min())
-	}
-	var b Agg
-	b.Add(100)
-	a.Merge(&b)
-	if a.Count != 9 || a.Max() != 100 {
-		t.Errorf("Merge wrong: %+v", a)
-	}
-	var c Agg
-	c.Merge(&a)
-	if c.Count != 9 {
-		t.Error("Merge into empty wrong")
-	}
-}
 
 func TestTableRender(t *testing.T) {
 	tab := &Table{ID: "x", Title: "demo", Paper: "ref", Columns: []string{"a", "bbb"}}
@@ -61,17 +34,24 @@ func TestTableRowMismatchPanics(t *testing.T) {
 	tab.AddRow("1", "2")
 }
 
-// ForEachTrial must be deterministic regardless of worker count.
-func TestForEachTrialDeterministic(t *testing.T) {
+// Trials must return the same per-trial results, in trial order, at any
+// worker count, and build at most one Solver per worker.
+func TestTrialsDeterministic(t *testing.T) {
 	run := func(workers int) []int64 {
-		out := make([]int64, 16)
+		solvers := map[*core.Solver]bool{}
 		var mu sync.Mutex
-		ForEachTrial(Config{Seed: 7, Workers: workers}, 16, func(trial int, rng *rand.Rand) {
-			v := rng.Int63()
+		out := Trials(Config{Seed: 7, Workers: workers}, 16, func(trial int, rng *rand.Rand, s *core.Solver) int64 {
 			mu.Lock()
-			out[trial] = v
+			solvers[s] = true
 			mu.Unlock()
+			return rng.Int63()
 		})
+		if len(out) != 16 {
+			t.Fatalf("workers=%d: %d results, want 16", workers, len(out))
+		}
+		if len(solvers) > workers {
+			t.Errorf("workers=%d: %d Solvers built", workers, len(solvers))
+		}
 		return out
 	}
 	a, b := run(1), run(4)
@@ -79,19 +59,34 @@ func TestForEachTrialDeterministic(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("trial %d differs between worker counts", i)
 		}
+		if want := rand.New(rand.NewSource(par.TrialSeed(7, 0, i))).Int63(); a[i] != want {
+			t.Fatalf("trial %d not seeded with par.TrialSeed", i)
+		}
 	}
 }
 
+// RunLambPoint must be a pure function of the config: the same seed gives
+// the same statistics, and folding in trial order makes the means
+// bit-identical at any worker count.
 func TestRunLambPointDeterministic(t *testing.T) {
 	m := mesh.MustNew(10, 10)
 	cfg := Config{Trials: 8, Seed: 3, Workers: 2}
 	p1 := RunLambPoint(cfg, m, 5, 2)
 	p2 := RunLambPoint(cfg, m, 5, 2)
-	if p1.Lambs.Sum != p2.Lambs.Sum || p1.Lambs.Max() != p2.Lambs.Max() {
+	if p1.Lambs != p2.Lambs || p1.MaxLambs != p2.MaxLambs {
 		t.Error("same seed should give identical lamb statistics")
 	}
-	if p1.Lambs.Count != 8 {
-		t.Errorf("Count = %d", p1.Lambs.Count)
+	if p1.Lambs.N != 8 {
+		t.Errorf("N = %d", p1.Lambs.N)
+	}
+	cfg.Workers = 1
+	serial := RunLambPoint(cfg, mesh.MustNew(12, 12), 9, 2)
+	cfg.Workers = 2
+	parallel := RunLambPoint(cfg, mesh.MustNew(12, 12), 9, 2)
+	if math.Float64bits(serial.Lambs.Mean) != math.Float64bits(parallel.Lambs.Mean) ||
+		math.Float64bits(serial.SES.Mean) != math.Float64bits(parallel.SES.Mean) {
+		t.Errorf("means differ between workers 1 and 2: lambs %v/%v, SES %v/%v",
+			serial.Lambs.Mean, parallel.Lambs.Mean, serial.SES.Mean, parallel.SES.Mean)
 	}
 }
 
@@ -165,8 +160,8 @@ func TestHeadline3DNumber(t *testing.T) {
 	}
 	m := mesh.MustNew(32, 32, 32)
 	ps := RunLambPoint(Config{Trials: 5, Seed: 11}, m, 983, 2)
-	if ps.Lambs.Mean() < 30 || ps.Lambs.Mean() > 120 {
-		t.Errorf("avg lambs at 3%% = %v, expected near the paper's 67.6", ps.Lambs.Mean())
+	if ps.Lambs.Mean < 30 || ps.Lambs.Mean > 120 {
+		t.Errorf("avg lambs at 3%% = %v, expected near the paper's 67.6", ps.Lambs.Mean)
 	}
 }
 

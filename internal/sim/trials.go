@@ -2,13 +2,13 @@ package sim
 
 import (
 	"math/rand"
-	"sync"
 	"time"
 
 	"lambmesh/internal/core"
 	"lambmesh/internal/mesh"
 	"lambmesh/internal/par"
 	"lambmesh/internal/routing"
+	"lambmesh/internal/stats"
 )
 
 // Config controls how experiments run.
@@ -37,50 +37,31 @@ func (c Config) trials() int {
 	return 100
 }
 
-// ForEachTrial runs fn(trial, rng) for trial = 0..trials-1 on a worker
-// pool. Each trial gets its own deterministic RNG, so results do not depend
-// on scheduling.
-func ForEachTrial(cfg Config, trials int, fn func(trial int, rng *rand.Rand)) {
-	ForEachTrialSolver(cfg, trials, func(t int, rng *rand.Rand, _ *core.Solver) {
-		fn(t, rng)
-	})
-}
-
-// ForEachTrialSolver is ForEachTrial handing each worker goroutine one
-// long-lived core.Solver, so per-trial lamb computations amortize their
-// scratch across the whole run instead of allocating per trial. A Solver is
-// confined to its worker (it is not safe for concurrent use); trial results
-// stay independent of scheduling because the Solver only carries buffers,
-// never results.
-func ForEachTrialSolver(cfg Config, trials int, fn func(trial int, rng *rand.Rand, s *core.Solver)) {
+// Trials runs fn for trial = 0..n-1 on par.Do over cfg's worker count and
+// returns the results in trial order. Trial t draws from its own generator,
+// rand.New(rand.NewSource(par.TrialSeed(cfg.Seed, 0, t))), so each result
+// is a pure function of (seed, trial): folding the slice in order gives
+// bit-identical aggregates at any worker count.
+//
+// Each in-flight trial borrows a core.Solver from a free list the run
+// keeps, so per-trial lamb computations amortize their scratch across the
+// whole run: at most one Solver per worker is ever built. A Solver carries
+// only buffers, never results, so which one a trial gets does not matter.
+func Trials[T any](cfg Config, n int, fn func(trial int, rng *rand.Rand, s *core.Solver) T) []T {
+	out := make([]T, n)
 	workers := cfg.workers()
-	if workers > trials {
-		workers = trials
-	}
-	if workers <= 1 {
-		s := core.NewSolver()
-		for t := 0; t < trials; t++ {
-			fn(t, rand.New(rand.NewSource(par.TrialSeed(cfg.Seed, 0, t))), s)
+	free := make(chan *core.Solver, workers) // never more Solvers than workers
+	par.Do(workers, n, func(t int) {
+		var s *core.Solver
+		select {
+		case s = <-free:
+		default:
+			s = core.NewSolver()
 		}
-		return
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s := core.NewSolver()
-			for t := range next {
-				fn(t, rand.New(rand.NewSource(par.TrialSeed(cfg.Seed, 0, t))), s)
-			}
-		}()
-	}
-	for t := 0; t < trials; t++ {
-		next <- t
-	}
-	close(next)
-	wg.Wait()
+		out[t] = fn(t, rand.New(rand.NewSource(par.TrialSeed(cfg.Seed, 0, t))), s)
+		free <- s
+	})
+	return out
 }
 
 // LambObservation is what one randomized trial of the lamb algorithm
@@ -93,33 +74,13 @@ type LambObservation struct {
 }
 
 // RunLambTrial draws `faults` random node faults on the mesh and runs Lamb1
-// with k rounds of ascending (e-cube) ordering, timing just the algorithm
-// (fault generation excluded, matching the paper's running-time figure).
-// The trial itself is single-threaded (workers=1): ForEachTrial already
-// saturates the machine with concurrent trials, so nesting per-trial
-// parallelism would only add scheduling noise to the timings.
-func RunLambTrial(m *mesh.Mesh, faults, k int, rng *rand.Rand) LambObservation {
-	return RunLambTrialSolver(m, faults, k, rng, core.NewSolver())
-}
-
-// RunLambTrialSolver is RunLambTrial computing through the caller's Solver —
-// the steady-state form the trial pools and benchmarks use, where the same
-// Solver serves every trial a worker runs. The observation is identical to
-// RunLambTrial's for the same rng stream.
-func RunLambTrialSolver(m *mesh.Mesh, faults, k int, rng *rand.Rand, s *core.Solver) LambObservation {
-	return RunLambTrialSolverWorkers(m, faults, k, 1, rng, s)
-}
-
-// RunLambTrialWorkers is RunLambTrial with an explicit worker-pool size for
-// the Lamb1 reachability kernels (<= 0 means NumCPU). The benchmarks use it
-// to measure the single-trial hot path at workers=1 vs workers=NumCPU.
-func RunLambTrialWorkers(m *mesh.Mesh, faults, k, workers int, rng *rand.Rand) LambObservation {
-	return RunLambTrialSolverWorkers(m, faults, k, workers, rng, core.NewSolver())
-}
-
-// RunLambTrialSolverWorkers is the fully explicit trial: caller's Solver,
-// caller's worker-pool size. Every other Run* form delegates here.
-func RunLambTrialSolverWorkers(m *mesh.Mesh, faults, k, workers int, rng *rand.Rand, s *core.Solver) LambObservation {
+// with k rounds of ascending (e-cube) ordering through the caller's Solver,
+// timing just the algorithm (fault generation excluded, matching the
+// paper's running-time figure). workers sizes the Lamb1 reachability
+// kernels (<= 0 means NumCPU); the experiments pass 1 because Trials
+// already saturates the machine with concurrent trials, and nesting
+// per-trial parallelism would only add scheduling noise to the timings.
+func RunLambTrial(m *mesh.Mesh, faults, k, workers int, rng *rand.Rand, s *core.Solver) LambObservation {
 	fs := mesh.RandomNodeFaults(m, faults, rng)
 	start := time.Now()
 	res, err := s.Lamb1(fs, routing.UniformAscending(m.Dims(), k), core.WithWorkers(workers))
@@ -134,25 +95,29 @@ func RunLambTrialSolverWorkers(m *mesh.Mesh, faults, k, workers int, rng *rand.R
 	}
 }
 
-// PointStats aggregates trial observations at one sweep point.
+// PointStats aggregates trial observations at one sweep point, folded in
+// trial order.
 type PointStats struct {
-	Faults  int
-	Lambs   Agg
-	SES     Agg
-	Seconds Agg
+	Faults   int
+	Lambs    stats.Welford
+	MaxLambs int
+	SES      stats.Welford
+	MaxSES   int
+	Seconds  stats.Welford
 }
 
 // RunLambPoint runs cfg.Trials trials at a fixed fault count.
 func RunLambPoint(cfg Config, m *mesh.Mesh, faults, k int) *PointStats {
-	ps := &PointStats{Faults: faults}
-	var mu sync.Mutex
-	ForEachTrialSolver(cfg, cfg.trials(), func(_ int, rng *rand.Rand, s *core.Solver) {
-		obs := RunLambTrialSolver(m, faults, k, rng, s)
-		mu.Lock()
-		ps.Lambs.Add(float64(obs.Lambs))
-		ps.SES.Add(float64(obs.SES))
-		ps.Seconds.Add(obs.Seconds)
-		mu.Unlock()
+	obs := Trials(cfg, cfg.trials(), func(_ int, rng *rand.Rand, s *core.Solver) LambObservation {
+		return RunLambTrial(m, faults, k, 1, rng, s)
 	})
+	ps := &PointStats{Faults: faults}
+	for _, o := range obs {
+		ps.Lambs.Add(float64(o.Lambs))
+		ps.MaxLambs = max(ps.MaxLambs, o.Lambs)
+		ps.SES.Add(float64(o.SES))
+		ps.MaxSES = max(ps.MaxSES, o.SES)
+		ps.Seconds.Add(o.Seconds)
+	}
 	return ps
 }

@@ -17,6 +17,7 @@ import (
 // Route is the one-shot convenience wrapper.
 type Client struct {
 	conn    net.Conn
+	timeout time.Duration // per-operation I/O bound; 0 means none
 	br      *bufio.Reader
 	bw      *bufio.Writer
 	header  []byte
@@ -25,7 +26,8 @@ type Client struct {
 }
 
 // Dial connects to a wire server. A zero timeout means no limit; a
-// positive one bounds the dial and every subsequent Send/Recv.
+// positive one bounds the dial and then each write of buffered requests
+// and each Recv on its own, so an idle connection never expires.
 func Dial(addr string, timeout time.Duration) (*Client, error) {
 	var (
 		conn net.Conn
@@ -39,10 +41,9 @@ func Dial(addr string, timeout time.Duration) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	if timeout > 0 {
-		conn.SetDeadline(time.Now().Add(timeout))
-	}
-	return NewClient(conn), nil
+	c := NewClient(conn)
+	c.timeout = timeout
+	return c, nil
 }
 
 // NewClient wraps an established connection (ownership transfers; Close
@@ -68,16 +69,40 @@ func (c *Client) Send(src, dst []int) error {
 	if c.out, err = AppendRouteReq(c.out[:0], src, dst); err != nil {
 		return err
 	}
+	if len(c.out) > c.bw.Available() {
+		// The write below flushes the buffer to the socket.
+		if err := c.writeDeadline(); err != nil {
+			return err
+		}
+	}
 	_, err = c.bw.Write(c.out)
 	return err
 }
 
 // Flush pushes every buffered request to the server.
-func (c *Client) Flush() error { return c.bw.Flush() }
+func (c *Client) Flush() error {
+	if err := c.writeDeadline(); err != nil {
+		return err
+	}
+	return c.bw.Flush()
+}
+
+// writeDeadline bounds the next socket write by the client's timeout.
+func (c *Client) writeDeadline() error {
+	if c.timeout <= 0 {
+		return nil
+	}
+	return c.conn.SetWriteDeadline(time.Now().Add(c.timeout))
+}
 
 // Recv reads the next response into ans (reusing ans.Via). A server error
 // frame is returned as a Go error; the connection is then unusable.
 func (c *Client) Recv(ans *Answer) error {
+	if c.timeout > 0 {
+		if err := c.conn.SetReadDeadline(time.Now().Add(c.timeout)); err != nil {
+			return err
+		}
+	}
 	if _, err := io.ReadFull(c.br, c.header); err != nil {
 		return err
 	}

@@ -2,10 +2,12 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"net"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestRouteReqRoundTrip(t *testing.T) {
@@ -158,4 +160,62 @@ func TestErrorFrameTruncation(t *testing.T) {
 	if len(p) != MaxPayload || !bytes.Equal(p, []byte(msg[:MaxPayload])) {
 		t.Fatalf("error payload len %d", len(p))
 	}
+}
+
+// A positive Dial timeout bounds each operation, not the connection's
+// lifetime: a client that idles past the timeout must still route.
+func TestDialTimeoutIsPerOperation(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	go Serve(l, echoBackend{d: 2})
+
+	c, err := Dial(l.Addr().String(), 100*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	time.Sleep(250 * time.Millisecond)
+	var ans Answer
+	if err := c.Route([]int{3, 0}, []int{4, 0}, &ans); err != nil {
+		t.Fatalf("route after idling past the timeout: %v", err)
+	}
+	if ans.Code != CodeFound || ans.Hops != 7 {
+		t.Fatalf("answer %+v", ans)
+	}
+}
+
+// A server that accepts but never answers must still time the client out.
+func TestDialTimeoutSilentServer(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		conn, err := l.Accept()
+		if err == nil {
+			accepted <- conn // held open, never read or written
+		}
+	}()
+
+	c, err := Dial(l.Addr().String(), 100*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	start := time.Now()
+	var ans Answer
+	err = c.Route([]int{0, 0}, []int{1, 1}, &ans)
+	var ne net.Error
+	if !errors.As(err, &ne) || !ne.Timeout() {
+		t.Fatalf("route against a silent server: %v, want a timeout", err)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Fatalf("timed out after %v", d)
+	}
+	(<-accepted).Close()
 }

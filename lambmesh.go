@@ -21,9 +21,9 @@
 // (SES/DES partitions), internal/reach (k-round reachability matrices),
 // internal/vcover + internal/maxflow (weighted vertex cover), internal/core
 // (the Lamb1/Lamb2 reductions), internal/wormhole (a flit-level network
-// simulator), internal/blockfault (the fault-ring baseline), and
-// internal/analysis + internal/sim (the paper's bounds and every
-// table/figure experiment). This package re-exports the public workflow.
+// simulator), internal/faultring (the Boppana–Chalasani fault-ring
+// baseline), internal/stats (streaming statistics), and internal/analysis +
+// internal/sim (the paper's bounds and every table/figure experiment). This package re-exports the public workflow.
 package lambmesh
 
 import (

@@ -5,10 +5,11 @@
 # Runs `go test -cover` over every package, prints a per-package table
 # (appended to $GITHUB_STEP_SUMMARY as Markdown when CI provides one), and
 # fails if internal/mesh, internal/sim, internal/wormhole,
-# internal/classtable, internal/server, internal/campaign, or
-# internal/faultring — the packages this repo's topologies, experiments,
-# the serving data plane, the reliability campaigns, and the bake-off
-# baseline stand on — drop below the floor.
+# internal/classtable, internal/server, internal/campaign,
+# internal/faultring, or internal/stats — the packages this repo's
+# topologies, experiments, the serving data plane, the reliability
+# campaigns, the bake-off baseline, and the shared statistics stand on —
+# drop below the floor.
 #
 # Usage:
 #   scripts/covercheck.sh           # default 70% floor
@@ -17,7 +18,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 MIN_COVER="${MIN_COVER:-70}"
-GATED='lambmesh/internal/mesh lambmesh/internal/sim lambmesh/internal/wormhole lambmesh/internal/classtable lambmesh/internal/server lambmesh/internal/campaign lambmesh/internal/faultring'
+GATED='lambmesh/internal/mesh lambmesh/internal/sim lambmesh/internal/wormhole lambmesh/internal/classtable lambmesh/internal/server lambmesh/internal/campaign lambmesh/internal/faultring lambmesh/internal/stats'
 
 TMP="$(mktemp)"
 trap 'rm -f "$TMP"' EXIT
